@@ -16,9 +16,6 @@
 namespace alf {
 namespace {
 
-// kMaxShiftH (the shifted-GEMM border-repair height bound) comes from
-// plan.hpp: one definition shared with the compiler and the blob stamp.
-
 /// One row of an image's im2col unfold: dst[oh*wo + ow] = the (c, kh, kw)
 /// tap of output position (oh, ow), zero where the tap lands in padding.
 /// Identical values to the matching row of im2col_view — the quantized
@@ -58,15 +55,25 @@ void unfold_row_view(const float* src, const ConvGeom& g, size_t c, size_t kh,
 }
 
 
+/// Floats of one chunk's border-repair scratch for shifted-GEMM step `st`
+/// (0 for 1x1s, which have no border): the gathered taps [Ci*K*K, 2*pad*H]
+/// plus their GEMM result [Co, 2*pad*H].
+size_t border_scratch_floats(const Step& st) {
+  const ConvGeom& g = st.geom;
+  if (st.kind != OpKind::kConv || !st.shift_gemm || g.kernel == 1) return 0;
+  return (g.col_rows() + st.out_c) * 2 * g.pad * g.in_h;
+}
+
 /// Single-image shifted-GEMM convolution (stride 1, pad = (K-1)/2, output
 /// size == input size). For each kernel offset (kh, kw) the valid output
 /// range is a contiguous window of the flattened [H*W] plane, so the
 /// contribution is one GEMM of w9[kh,kw] [Co, Ci] against the raw input
 /// planes at a flat offset — no im2col materialization at all. Column
-/// wrap-around at the left/right borders is repaired afterwards by
-/// recomputing the `pad` edge columns directly from `w`.
+/// wrap-around at the left/right borders is repaired afterwards by one
+/// more GEMM over just the `pad` edge columns on each side (`scratch`:
+/// border_scratch_floats(st) floats).
 void conv2d_image_shift(const Step& st, const kernels::KernelBackend* be,
-                        const float* x_img, float* out_img) {
+                        const float* x_img, float* out_img, float* scratch) {
   const ConvGeom& g = st.geom;
   const size_t hh = g.in_h, ww = g.in_w, hw = hh * ww;
   const size_t ci = g.in_c, co = st.out_c, k = g.kernel;
@@ -93,35 +100,46 @@ void conv2d_image_shift(const Step& st, const kernels::KernelBackend* be,
     }
   }
   // Repair the `pad` left/right border columns (their shifted reads wrapped
-  // into the neighboring row): direct convolution, overwriting. The y loop
-  // is innermost over a contiguous column buffer so the accumulations are
-  // independent (no loop-carried dependency chain).
-  const size_t p = g.pad;
-  float tmp[kMaxShiftH];
-  for (size_t o = 0; o < co; ++o) {
-    const float* wrow = st.w.data() + o * ci * k * k;
-    float* oplane = out_img + o * hw;
-    for (size_t e = 0; e < 2 * p; ++e) {
-      const size_t x = e < p ? e : ww - 2 * p + e;
-      for (size_t y = 0; y < hh; ++y) tmp[y] = 0.0f;
-      for (size_t c = 0; c < ci; ++c) {
-        const float* xplane = x_img + c * hw;
-        for (size_t dy = 0; dy < k; ++dy) {
-          const size_t y0 = p > dy ? p - dy : 0;
-          const size_t y1 = std::min(hh, hh + p - dy);
-          for (size_t dx = 0; dx < k; ++dx) {
-            const long ix = static_cast<long>(x + dx) - pad;
-            if (ix < 0 || ix >= static_cast<long>(ww)) continue;
-            const float wv = wrow[(c * k + dy) * k + dx];
-            const float* src = xplane +
-                               (static_cast<long>(dy) - pad) *
-                                   static_cast<long>(ww) +
-                               ix;
-            for (size_t y = y0; y < y1; ++y) tmp[y] += wv * src[y * ww];
+  // into the neighboring row). Gather the taps of the 2*pad edge columns
+  // into an im2col-shaped matrix whose column e*H + y is output pixel
+  // (y, x_e), multiply by `w` [Co, Ci*K*K] once, and overwrite the edges
+  // with the result.
+  const size_t p = g.pad, bn = 2 * p * hh, rows = g.col_rows();
+  float* const col = scratch;
+  float* const res = scratch + rows * bn;
+  const auto edge_x = [&](size_t e) { return e < p ? e : ww - 2 * p + e; };
+  float* dst = col;
+  for (size_t c = 0; c < ci; ++c) {
+    const float* xplane = x_img + c * hw;
+    for (size_t dy = 0; dy < k; ++dy) {
+      const size_t y0 = p > dy ? p - dy : 0;         // first valid row
+      const size_t y1 = std::min(hh, hh + p - dy);   // one past the last
+      for (size_t dx = 0; dx < k; ++dx) {
+        for (size_t e = 0; e < 2 * p; ++e, dst += hh) {
+          const long ix = static_cast<long>(edge_x(e) + dx) - pad;
+          if (ix < 0 || ix >= static_cast<long>(ww)) {
+            std::memset(dst, 0, hh * sizeof(float));
+            continue;
           }
+          const float* src = xplane +
+                             (static_cast<long>(dy) - pad) *
+                                 static_cast<long>(ww) +
+                             ix;
+          for (size_t y = 0; y < y0; ++y) dst[y] = 0.0f;
+          for (size_t y = y0; y < y1; ++y) dst[y] = src[y * ww];
+          for (size_t y = y1; y < hh; ++y) dst[y] = 0.0f;
         }
       }
-      for (size_t y = 0; y < hh; ++y) oplane[y * ww + x] = tmp[y];
+    }
+  }
+  kernels::gemm_dispatch(be, st.tile, st.w.data(), rows, false, col, bn, false,
+                         res, bn, co, rows, bn, 1.0f, 0.0f);
+  for (size_t o = 0; o < co; ++o) {
+    float* oplane = out_img + o * hw;
+    const float* r = res + o * bn;
+    for (size_t e = 0; e < 2 * p; ++e, r += hh) {
+      const size_t x = edge_x(e);
+      for (size_t y = 0; y < hh; ++y) oplane[y * ww + x] = r[y];
     }
   }
   bias_act_inplace(out_img, co, hw, st.bias.empty() ? nullptr : st.bias.data(),
@@ -133,11 +151,16 @@ void conv2d_image_shift(const Step& st, const kernels::KernelBackend* be,
 ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
     : plan_(std::move(plan)) {
   ALF_CHECK(plan_ != nullptr) << "ExecContext: null plan";
-  workspace_.assign(plan_->workspace_floats(), 0.0f);
+  // Sized, not filled: ZeroedVector storage reads as zeros but its pages
+  // stay untouched until a run writes them.
+  workspace_ = ZeroedVector<float>(plan_->workspace_floats());
   if (plan_->quantized()) {
-    qws_.assign(plan_->qws_bytes(), 0);
-    qbs_.assign(plan_->qbs_floats(), 0.0f);
+    qws_ = ZeroedVector<int8_t>(plan_->qws_bytes());
+    qbs_ = ZeroedVector<float>(plan_->qbs_floats());
   }
+  for (const Step& st : plan_->steps())
+    border_floats_ = std::max(border_floats_, border_scratch_floats(st));
+  border_ = ZeroedVector<float>(plan_->chunks() * border_floats_);
   if constexpr (asan_enabled()) {
     // Arena-slot lifetime enforcement: record, per physical slot, the last
     // step that touches it (the loop runs in step order, so each entry
@@ -178,9 +201,10 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
           const size_t i0 = ci * chunk;
           const size_t i1 = std::min(n, i0 + chunk);
           if (st.shift_gemm) {
+            float* scratch = border_.data() + ci * border_floats_;
             for (size_t i = i0; i < i1; ++i)
               conv2d_image_shift(st, st.be, in + i * st.in_sz,
-                                 out + i * st.out_sz);
+                                 out + i * st.out_sz, scratch);
             continue;
           }
           // Chunk-batched: unfold the chunk's images side by side, run one

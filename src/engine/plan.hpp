@@ -42,8 +42,9 @@ namespace kernels {
 struct KernelBackend;
 }  // namespace kernels
 
-/// Height bound for the shifted-GEMM border-repair stack buffer; taller
-/// maps fall back to the chunk-batched strategy at compile time. One
+/// Height bound for shifted-GEMM convs (it caps the per-chunk border-repair
+/// scratch an ExecContext allocates, which grows with the map height);
+/// taller maps fall back to the chunk-batched strategy at compile time. One
 /// definition shared by the compiler (plan.cpp), the runtime
 /// (exec_context.cpp), and the blob header stamp (plan_io.cpp) — a plan
 /// packed under a different bound must not load.
@@ -202,8 +203,9 @@ struct Step {
   /// Conv execution strategy, chosen at compile time per layer:
   /// - shift_gemm (wide maps and all 1x1s): no im2col at all — K*K GEMMs of
   ///   per-offset weight slices against shifted views of the input planes,
-  ///   then the `pad` border columns are recomputed directly. `w9` holds
-  ///   the compile-time repacking [K*K, Co, Ci] of `w` (empty for 1x1).
+  ///   then the `pad` border columns are recomputed by one GEMM of `w`
+  ///   over their gathered taps. `w9` holds the compile-time repacking
+  ///   [K*K, Co, Ci] of `w` (empty for 1x1).
   /// - chunk-batched im2col (narrow maps, strided convs): all images of a
   ///   batch chunk unfold side by side into one [Ci*K*K, G*Ho*Wo] matrix,
   ///   one GEMM computes the chunk, and the result scatters back to NCHW.

@@ -23,7 +23,7 @@ void qgemm_int8(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 const QgemmParams& p);
 
 /// The moved cache-blocked scalar f32 kernel (defined in scalar.cpp); the
-/// simd backend falls back to it for shapes below its packing break-even.
+/// int8 backend's float forward falls back to it when simd is unusable.
 void gemm_scalar(const float* a, size_t lda, bool trans_a, const float* b,
                  size_t ldb, bool trans_b, float* c, size_t ldc, size_t m,
                  size_t k, size_t n, float alpha, float beta);

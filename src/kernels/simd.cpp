@@ -5,22 +5,32 @@
 // intrinsics): the k-loop broadcasts one packed A element per row and FMAs
 // it against two B vectors, keeping 8 vector accumulators live.
 //
-// Both operands are packed. op(B) is packed once per call (by the calling
-// thread, before the row partition) into kNr-column-interleaved panels —
-// each k step of a panel is one contiguous 64-byte line — which also
-// absorbs trans_b at pack time. A panels are packed per (row-block,
-// k-block) into kMr-interleaved strips, so both orientations of A (and in
-// particular the strided trans_a reads of the backward pass) stream
-// contiguously through the kernel. The sweep is blocked over columns
-// (kNc) and k (kKc) so the resident set — one kKc x kNc B block plus one
-// kMc x kKc A block — fits in L2 and each B panel is reused across the
-// full M sweep; without the column blocking, im2col conv shapes (n in the
-// thousands) re-stream all of B from memory once per row panel.
+// Both operands are packed, one cache block at a time. The sweep is
+// blocked over columns (kNc) and k (kKc); each (kc x nc) block of op(B) is
+// packed into a per-thread L2-sized buffer of kNr-column-interleaved
+// panels — each k step of a panel is one contiguous 64-byte line, and
+// trans_b is absorbed at pack time — right before the row panels consume
+// it, so the packed block is still cache-hot when the kernel reads it
+// (packing all of op(B) up front streamed megabytes through memory twice
+// for the wide im2col and shifted-conv shapes). A panels are packed per
+// (row-block, k-block) into kMr-interleaved strips, so both orientations
+// of A (and in particular the strided trans_a reads of the backward pass)
+// stream contiguously through the kernel. The resident set — one kKc x kNc
+// B block plus one kMc x kKc A block — fits in L2.
+//
+// Every shape runs through this kernel: tiny products and n < kNr use the
+// zero-padded partial tiles rather than a different backend, so a C
+// element's arithmetic never depends on the size of the call it is part
+// of (the engine relies on that: a batch row must not change bits when
+// the batch around it grows).
 //
 // Blocking mirrors the scalar backend: a global k-block grid fixes the
 // accumulation order of every C element independent of the thread
-// partition, so results are bit-identical for any thread count. The row
-// range is the only parallel axis.
+// partition, so results are bit-identical for any thread count. The pool
+// splits rows when M spans several row blocks (each worker packs the B
+// blocks it sweeps), and splits column panels when M fits one row block
+// (the conv shapes: few output channels, thousands of columns), so each B
+// block is packed exactly once.
 //
 // Build/ISA: CMake's ALF_SIMD=ON compiles this file with wider vector
 // flags (-mavx2 -mfma) when the compiler supports them; simd_backend()
@@ -29,6 +39,7 @@
 // "scalar"). Without vector extensions (non-GCC/Clang) the backend is
 // absent entirely.
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -49,12 +60,17 @@ constexpr size_t kMc = 64;   // rows packed per A block (~64KB with kKc)
 constexpr size_t kKc = 256;  // k extent of one block (global grid)
 constexpr size_t kNc = 256;  // cols per B block (kKc x kNc = 256KB in L2)
 
-// Below this many multiply-adds the packing overhead outweighs the wider
-// kernel; delegate to the scalar backend (also covers degenerate shapes).
-constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
-
 // Same per-worker arithmetic floor as the scalar backend.
 constexpr size_t kMaddsPerWorker = size_t{1} << 16;
+
+constexpr size_t kLineFloats = 16;  // one 64-byte cache line
+
+/// First cache-line boundary at or after `p` (float-aligned, so the step
+/// is a whole number of floats).
+inline float* align_line(float* p) {
+  const size_t off = reinterpret_cast<uintptr_t>(p) % 64;
+  return off == 0 ? p : p + (64 - off) / sizeof(float);
+}
 
 inline v8 loadu(const float* p) {
   v8 v;
@@ -137,6 +153,47 @@ inline void micro_4x16p_partial(const float* apanel, size_t kb,
   }
 }
 
+/// Packs B panels [jp0, jp1) over the k-range [k0, k0+kb) of op(B): dst
+/// panel (jp - jp0) holds columns [jp*kNr, jp*kNr + kNr) laid out [kk][kNr]
+/// (zero-padded past n), so every k step of the microkernel is one
+/// contiguous cache line.
+void pack_b(const float* b, size_t ldb, bool trans_b, size_t n, size_t k0,
+            size_t kb, size_t jp0, size_t jp1, float* dst) {
+  const size_t stride = kb * kNr;
+  if (!trans_b) {
+    for (size_t kk = 0; kk < kb; ++kk) {
+      const float* brow = b + (k0 + kk) * ldb;
+      for (size_t jp = jp0; jp < jp1; ++jp) {
+        const size_t j0 = jp * kNr;
+        const size_t cols = std::min(kNr, n - j0);
+        float* d = dst + (jp - jp0) * stride + kk * kNr;
+        if (cols == kNr) {
+          std::memcpy(d, brow + j0, kNr * sizeof(float));
+          continue;
+        }
+        size_t jj = 0;
+        for (; jj < cols; ++jj) d[jj] = brow[j0 + jj];
+        for (; jj < kNr; ++jj) d[jj] = 0.0f;
+      }
+    }
+    return;
+  }
+  // B is stored [N, K]: each source row is one output column, read
+  // contiguously and scattered down its panel.
+  for (size_t jp = jp0; jp < jp1; ++jp) {
+    float* panel = dst + (jp - jp0) * stride;
+    for (size_t jj = 0; jj < kNr; ++jj) {
+      const size_t j = jp * kNr + jj;
+      if (j < n) {
+        const float* bcol = b + j * ldb + k0;
+        for (size_t kk = 0; kk < kb; ++kk) panel[kk * kNr + jj] = bcol[kk];
+      } else {
+        for (size_t kk = 0; kk < kb; ++kk) panel[kk * kNr + jj] = 0.0f;
+      }
+    }
+  }
+}
+
 /// The packed kernel body with the (mc, kc, nc) cache-block extents as
 /// parameters. gemm_simd pins the historical constants; the tiled entry
 /// substitutes tuner-chosen ones (mc rounded up to the kMr register rows,
@@ -147,91 +204,56 @@ void gemm_simd_blocked(const float* pa, size_t lda, bool trans_a,
                        const float* pb, size_t ldb, bool trans_b, float* pc,
                        size_t ldc, size_t m, size_t k, size_t n, float alpha,
                        float beta, size_t mc, size_t kc, size_t nc) {
-  if (m * k * n < kScalarCutoffMadds || n < kNr / 2 || k == 0) {
-    detail::gemm_scalar(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m, k, n,
-                        alpha, beta);
-    return;
-  }
+  if (m == 0 || n == 0) return;
   mc = (std::max<size_t>(mc, kMr) + kMr - 1) & ~(kMr - 1);
   kc = std::max<size_t>(kc, 1);
   nc = std::max<size_t>(nc & ~(kNr - 1), kNr);
 
-  const size_t madds_per_row = std::max<size_t>(1, k * n);
-  const size_t min_rows = std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
-  const bool inline_run =
-      in_parallel_region() || m <= min_rows || parallel_threads() <= 1;
+  const size_t npan = (n + kNr - 1) / kNr;  // kNr-column B panels
+  const size_t pan_per_block = nc / kNr;    // B panels per column block
 
-  // Pack op(B) once into kNr-column panels: panel jp holds columns
-  // [jp*16, jp*16+16) laid out [kk][16] (zero-padded past n), so every k
-  // step of the microkernel is one contiguous cache line and trans_b costs
-  // nothing downstream. Packed by the calling thread, then shared
-  // read-only across the row partition (the caller blocks in
-  // parallel_for_chunked, so the buffer outlives every worker's use).
-  const size_t npan = (n + kNr - 1) / kNr;
-  const size_t panel_stride = k * kNr;
-  thread_local std::vector<float> bpack_tls;
-  bpack_tls.resize(npan * panel_stride);
-  float* const bp = bpack_tls.data();
-  if (!trans_b) {
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float* brow = pb + kk * ldb;
-      for (size_t jp = 0; jp < npan; ++jp) {
-        const size_t j0 = jp * kNr;
-        const size_t cols = std::min(kNr, n - j0);
-        float* dst = bp + jp * panel_stride + kk * kNr;
-        size_t jj = 0;
-        for (; jj < cols; ++jj) dst[jj] = brow[j0 + jj];
-        for (; jj < kNr; ++jj) dst[jj] = 0.0f;
-      }
-    }
-  } else {
-    // B is stored [N, K]: each source row is one output column, read
-    // contiguously and scattered down its panel.
-    for (size_t jp = 0; jp < npan; ++jp) {
-      float* panel = bp + jp * panel_stride;
-      for (size_t jj = 0; jj < kNr; ++jj) {
-        const size_t j = jp * kNr + jj;
-        if (j < n) {
-          const float* bcol = pb + j * ldb;
-          for (size_t kk = 0; kk < k; ++kk) panel[kk * kNr + jj] = bcol[kk];
-        } else {
-          for (size_t kk = 0; kk < k; ++kk) panel[kk * kNr + jj] = 0.0f;
-        }
-      }
-    }
-  }
-
-  const size_t pan_per_block = nc / kNr;  // B panels per column block
-  const auto process_rows = [=](size_t r0, size_t r1) {
-    // Per-thread A packing scratch, persistent across calls (pool workers
-    // live for the process).
-    thread_local std::vector<float> apack_tls;
-    apack_tls.resize(mc * kc);
-    float* const apack = apack_tls.data();
-
+  // C rows [r0, r1) x B panels [p0, p1): scale by beta, then sweep the
+  // column blocks, packing each (kc x nc) block of op(B) into this
+  // thread's buffer right before the row panels consume it. Every C
+  // element accumulates its k-blocks in global grid order whatever the
+  // (r, p) ranges, which is what makes any partition bit-identical.
+  const auto run_block = [=](size_t r0, size_t r1, size_t p0, size_t p1) {
+    const size_t j0 = p0 * kNr;
+    const size_t j1 = std::min(n, p1 * kNr);
     for (size_t i = r0; i < r1; ++i) {
-      float* crow = pc + i * ldc;
+      float* crow = pc + i * ldc + j0;
       if (beta == 0.0f) {
-        std::memset(crow, 0, n * sizeof(float));
+        std::memset(crow, 0, (j1 - j0) * sizeof(float));
       } else if (beta != 1.0f) {
-        for (size_t j = 0; j < n; ++j) crow[j] *= beta;
+        for (size_t j = 0; j < j1 - j0; ++j) crow[j] *= beta;
       }
     }
-    for (size_t bj = 0; bj < npan; bj += pan_per_block) {
-      const size_t pe = std::min(npan, bj + pan_per_block);
+    // Per-thread packing scratch, persistent across calls (pool workers
+    // live for the process): one A block and one B block, each starting
+    // on a cache line so no packed B step straddles two lines.
+    thread_local std::vector<float> apack_tls;
+    thread_local std::vector<float> bpack_tls;
+    apack_tls.resize(mc * kc + kLineFloats);
+    bpack_tls.resize(kc * nc + kLineFloats);
+    float* const apack = align_line(apack_tls.data());
+    float* const bpack = align_line(bpack_tls.data());
+
+    for (size_t bj = p0; bj < p1; bj += pan_per_block) {
+      const size_t pe = std::min(p1, bj + pan_per_block);
       for (size_t k0 = 0; k0 < k; k0 += kc) {
         const size_t kb = std::min(k, k0 + kc) - k0;
+        pack_b(pb, ldb, trans_b, n, k0, kb, bj, pe, bpack);
         for (size_t i0 = r0; i0 < r1; i0 += mc) {
           const size_t rows = std::min(r1, i0 + mc) - i0;
           pack_a(pa, lda, trans_a, i0, rows, k0, kb, apack);
           for (size_t jp = bj; jp < pe; ++jp) {
-            const float* bpanel = bp + jp * panel_stride + k0 * kNr;
-            const size_t j0 = jp * kNr;
-            const size_t cols = std::min(kNr, n - j0);
+            const float* bpanel = bpack + (jp - bj) * kb * kNr;
+            const size_t jc = jp * kNr;
+            const size_t cols = std::min(kNr, n - jc);
             for (size_t p = 0; p < rows; p += kMr) {
               const size_t pr = std::min(kMr, rows - p);
               const float* apanel = apack + p * kb;
-              float* cpan = pc + (i0 + p) * ldc + j0;
+              float* cpan = pc + (i0 + p) * ldc + jc;
               if (cols == kNr)
                 micro_4x16p(apanel, kb, bpanel, alpha, cpan, ldc, pr);
               else
@@ -244,11 +266,33 @@ void gemm_simd_blocked(const float* pa, size_t lda, bool trans_a,
     }
   };
 
-  if (inline_run) {
-    process_rows(0, m);
-    return;
+  if (!in_parallel_region() && parallel_threads() > 1) {
+    if (m <= mc) {
+      // One row block: split the column panels, so each B block is packed
+      // by exactly one worker.
+      const size_t madds_per_panel = std::max<size_t>(1, m * k * kNr);
+      const size_t min_panels =
+          std::max<size_t>(1, kMaddsPerWorker / madds_per_panel);
+      if (npan > min_panels) {
+        parallel_for_chunked(
+            0, npan,
+            [&](size_t p0, size_t p1) { run_block(0, m, p0, p1); },
+            min_panels);
+        return;
+      }
+    } else {
+      const size_t madds_per_row = std::max<size_t>(1, k * n);
+      const size_t min_rows =
+          std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
+      if (m > min_rows) {
+        parallel_for_chunked(
+            0, m, [&](size_t r0, size_t r1) { run_block(r0, r1, 0, npan); },
+            min_rows);
+        return;
+      }
+    }
   }
-  parallel_for_chunked(0, m, process_rows, min_rows);
+  run_block(0, m, 0, npan);
 }
 
 void gemm_simd(const float* pa, size_t lda, bool trans_a, const float* pb,

@@ -1,15 +1,21 @@
 // Plan-based inference engine: numerical equivalence with the layer tree,
-// determinism across thread counts, arena reuse (including a global
-// operator-new counter proving single-chunk runs allocate nothing), and BN
+// determinism across thread counts and batch fills, shifted-GEMM vs im2col
+// agreement on border-heavy geometries, arena reuse (including a global
+// operator-new counter proving single-chunk runs allocate nothing, and a
+// page-fault count proving a fresh context's arena is not touched), and BN
 // folding.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "alf/deploy.hpp"
+#include "core/asan.hpp"
 #include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "engine/engine.hpp"
@@ -579,6 +585,138 @@ TEST(Engine, NarrowBitWidthsDegradeGracefully) {
   EXPECT_THROW(Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
                                {.backend = "int8", .bits = 1, .name = ""}),
                CheckError);
+}
+
+TEST(Engine, F32RowsBitIdenticalAcrossBatchFills) {
+  // The serving contract (exec_context.hpp): a row's logits do not depend
+  // on how many other images share its batch. Paper-scale width, so the
+  // classifier GEMM is 64 -> 10 — the shape whose arithmetic used to
+  // change between a fill of 6 and a fill of 7.
+  if (kernels::find_backend("simd") == nullptr)
+    GTEST_SKIP() << "simd backend unavailable on this CPU";
+  Rng rng(58);
+  ModelConfig mc;
+  mc.base_width = 16;
+  mc.in_hw = kHw;
+  auto dense = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
+  AlfConfig acfg;
+  std::vector<AlfConv*> blocks;
+  auto alf = build_resnet20(mc, rng, make_alf_conv_maker(acfg, &rng, &blocks));
+  for (AlfConv* b : blocks)
+    for (size_t i = 0; i < b->mask().numel(); ++i)
+      if (i % 3 != 0) b->mask().at(i) = 0.0f;
+  warm_bn(*dense, mc.in_channels, kHw, rng);
+  warm_bn(*alf, mc.in_channels, kHw, rng);
+
+  constexpr size_t kBatch = 32;
+  Tensor x = random_input({kBatch, mc.in_channels, kHw, kHw}, rng);
+  const size_t img = mc.in_channels * kHw * kHw;
+  for (const Sequential* model : {dense.get(), alf.get()}) {
+    auto plan = Plan::compile(*model, kBatch, mc.in_channels, kHw, kHw,
+                              {.backend = "simd"});
+    ExecContext ctx(plan);
+    const size_t classes = plan->classes();
+    std::vector<float> one(kBatch * classes);
+    for (size_t i = 0; i < kBatch; ++i)
+      ctx.run_rows(x.data() + i * img, 1, one.data() + i * classes);
+    for (const size_t fill : {size_t{7}, size_t{8}, kBatch}) {
+      std::vector<float> got(fill * classes);
+      ctx.run_rows(x.data(), fill, got.data());
+      for (size_t r = 0; r < fill; ++r)
+        EXPECT_EQ(std::memcmp(got.data() + r * classes,
+                              one.data() + r * classes,
+                              classes * sizeof(float)),
+                  0)
+            << model->name() << " fill " << fill << " row " << r;
+    }
+  }
+}
+
+TEST(Engine, ShiftGemmMatchesIm2colOnBorderHeavyGeometries) {
+  // The shifted-GEMM border repair recomputes 2*pad columns per row; wide
+  // kernels on narrow, odd-width maps make those columns a large share of
+  // the output, and Co not a multiple of the 4-row register tile exercises
+  // the partial tiles of the repair GEMM.
+  struct Geo {
+    size_t ci, co, k, h, w;
+  };
+  const Geo geos[] = {{3, 7, 5, 17, 17}, {5, 13, 5, 11, 17}, {6, 6, 3, 9, 17}};
+  for (const char* backend : {"scalar", "simd"}) {
+    if (kernels::find_backend(backend) == nullptr) continue;
+    for (const Geo& g : geos) {
+      Rng rng(59);
+      Sequential model("border");
+      model.emplace<Conv2d>("conv0", g.ci, g.co, g.k, 1, g.k / 2, Init::kHe,
+                            rng);
+      model.emplace<Activation>("relu", Act::kRelu);
+      model.emplace<Conv2d>("conv1", g.co, g.co, g.k, 1, g.k / 2, Init::kHe,
+                            rng);
+      Tensor x = random_input({3, g.ci, g.h, g.w}, rng);
+      const Tensor ref = model.forward(x, /*train=*/false);
+      Tensor outs[2];
+      const AlgoChoice::Strategy strategies[2] = {
+          AlgoChoice::Strategy::kShiftGemm, AlgoChoice::Strategy::kIm2col};
+      for (int s = 0; s < 2; ++s) {
+        EngineOptions opts;
+        opts.backend = backend;
+        opts.tune = TuneMode::kHeuristic;
+        opts.force_choices = {AlgoChoice{.strategy = strategies[s]}};
+        auto plan = Plan::compile(model, 3, g.ci, g.h, g.w, opts);
+        size_t shift_steps = 0;
+        for (const Step& st : plan->steps())
+          shift_steps += st.kind == OpKind::kConv && st.shift_gemm;
+        EXPECT_EQ(shift_steps, s == 0 ? size_t{2} : size_t{0});
+        ExecContext ctx(plan);
+        outs[s] = ctx.run(x);
+      }
+      float scale = 1.0f;
+      for (size_t i = 0; i < ref.numel(); ++i)
+        scale = std::max(scale, std::abs(ref.at(i)));
+      const std::string what = std::string(backend) + " k=" +
+                               std::to_string(g.k) + " " + std::to_string(g.h) +
+                               "x" + std::to_string(g.w) +
+                               " co=" + std::to_string(g.co);
+      EXPECT_LT(max_abs_diff(outs[0], outs[1]), 1e-5f * scale) << what;
+      EXPECT_LT(max_abs_diff(outs[0], ref.reshaped(outs[0].shape())),
+                1e-5f * scale)
+          << what;
+    }
+  }
+}
+
+TEST(Engine, FreshContextArenaReadsZeroWithoutFaultingItIn) {
+  // ExecContext storage is zeroed on demand: constructing a context for a
+  // paper-scale batch-32 plan must map its arena without touching it (the
+  // pages fault in when a run first writes them), yet read as zeros.
+  if constexpr (asan_enabled())
+    GTEST_SKIP() << "ASan builds poison the arena between runs";
+  Rng rng(60);
+  ModelConfig mc;
+  mc.base_width = 16;
+  mc.in_hw = 32;
+  auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
+  auto plan = Plan::compile(*model, 32, mc.in_channels, 32, 32);
+  const long pages =
+      static_cast<long>(plan->workspace_floats() * sizeof(float) / 4096);
+  ASSERT_GT(pages, 1024);
+
+  rusage before{}, after{};
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+  ExecContext ctx(plan);
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+  const long faults = after.ru_minflt - before.ru_minflt;
+  // ThreadSanitizer maps shadow memory for every allocation, which faults
+  // pages of its own; the arena itself is still untouched there.
+#if !defined(__SANITIZE_THREAD__)
+  EXPECT_LT(faults, pages / 16)
+      << "constructing the context faulted in " << faults << " of " << pages
+      << " arena pages";
+#endif
+
+  size_t nonzero = 0;
+  const float* ws = ctx.workspace_data();
+  for (size_t i = 0; i < ctx.workspace_floats(); ++i) nonzero += ws[i] != 0.0f;
+  EXPECT_EQ(nonzero, size_t{0});
 }
 
 }  // namespace

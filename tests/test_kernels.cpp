@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,46 @@ std::vector<float> run_gemm(const kernels::KernelBackend* be, const Tensor& a,
   std::vector<float> c(m * n, c_init);
   be->gemm(a.data(), a.dim(1), ta, b.data(), b.dim(1), tb, c.data(), n, m, k,
            n, alpha, beta);
+  return c;
+}
+
+/// Skinny-M, wide-N conv shapes (few output channels against thousands of
+/// pixel columns): m x k x n with B read through an ldb that is a multiple
+/// of 1024 floats (the page-aliasing strides of real activation planes).
+struct WideShape {
+  size_t m, k;
+};
+constexpr WideShape kWideShapes[] = {{6, 6},   {6, 27},   {6, 144},
+                                     {11, 6},  {11, 27},  {11, 144},
+                                     {22, 6},  {22, 27},  {22, 144}};
+constexpr size_t kWideN = 8192;
+constexpr size_t kWideLdbN = 9 * 1024;  ///< ldb of stored [k, n] B
+constexpr size_t kWideLdbT = 1024;      ///< ldb of stored [n, k] B
+
+/// Shapes below any packing break-even (m*k*n < 4096 or n < 8), including
+/// the classifier head [fill, 64] x [64, 10] at small batch fills.
+struct Shape3 {
+  size_t m, k, n;
+};
+constexpr Shape3 kTinyShapes[] = {{1, 1, 1},  {3, 5, 7},  {7, 64, 10},
+                                  {6, 64, 10}, {16, 16, 4}, {5, 3, 1},
+                                  {64, 1, 2},  {2, 300, 6}};
+
+/// B operand for the wide shapes: one random buffer of the larger stored
+/// extent, read as [k, n] with kWideLdbN or as [n, k] with kWideLdbT.
+std::vector<float> wide_b(Rng& rng) {
+  std::vector<float> b(std::max(144 * kWideLdbN, kWideN * kWideLdbT));
+  for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return b;
+}
+
+/// Runs `be` over op(A)*op(B) with explicit B storage into a dense [m, n]
+/// buffer (C starts at 0.25, accumulated with alpha 1.3 / beta 0.5).
+std::vector<float> run_gemm_ldb(const kernels::KernelBackend* be,
+                                const Tensor& a, const float* b, size_t ldb,
+                                bool tb, size_t m, size_t k, size_t n) {
+  std::vector<float> c(m * n, 0.25f);
+  be->gemm(a.data(), k, false, b, ldb, tb, c.data(), n, m, k, n, 1.3f, 0.5f);
   return c;
 }
 
@@ -178,12 +219,10 @@ TEST(KernelEquivalence, SimdMatchesScalarAllVariants) {
   Rng rng(7);
   // Odd shapes exercise the packing edge panels and the column tail; the
   // conv-shaped cases mirror the engine's real GEMMs.
-  struct Shape {
-    size_t m, k, n;
-  };
-  const Shape shapes[] = {{37, 53, 29},  {64, 64, 64},   {16, 27, 1024},
-                          {128, 576, 60}, {4, 3, 17},    {100, 1, 40},
-                          {1, 130, 257}};
+  std::vector<Shape3> shapes = {{37, 53, 29},  {64, 64, 64},  {16, 27, 1024},
+                                {128, 576, 60}, {4, 3, 17},   {100, 1, 40},
+                                {1, 130, 257}};
+  shapes.insert(shapes.end(), std::begin(kTinyShapes), std::end(kTinyShapes));
   for (const auto& s : shapes) {
     for (const bool ta : {false, true}) {
       for (const bool tb : {false, true}) {
@@ -198,6 +237,20 @@ TEST(KernelEquivalence, SimdMatchesScalarAllVariants) {
             << "m=" << s.m << " k=" << s.k << " n=" << s.n << " ta=" << ta
             << " tb=" << tb;
       }
+    }
+  }
+  const std::vector<float> b = wide_b(rng);
+  for (const WideShape& s : kWideShapes) {
+    Tensor a = random2d(s.m, s.k, rng);
+    for (const bool tb : {false, true}) {
+      const size_t ldb = tb ? kWideLdbT : kWideLdbN;
+      const auto ref =
+          run_gemm_ldb(scalar, a, b.data(), ldb, tb, s.m, s.k, kWideN);
+      const auto got =
+          run_gemm_ldb(simd, a, b.data(), ldb, tb, s.m, s.k, kWideN);
+      const double tol = 1e-4 * std::max(1.0, max_abs(ref));
+      EXPECT_LE(max_abs_diff(ref, got), tol)
+          << "m=" << s.m << " k=" << s.k << " n=" << kWideN << " tb=" << tb;
     }
   }
 }
@@ -249,6 +302,37 @@ TEST(KernelDeterminism, BitIdenticalAcrossThreadCounts) {
             std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)), 0)
             << name << " not bit-identical at " << threads << " threads, n="
             << n;
+      }
+      set_parallel_threads(0);
+    }
+  }
+  // Skinny-M wide-N conv shapes (the simd backend splits their column
+  // panels, M fitting one row block) and tiny shapes (partial register
+  // tiles), both orientations of B.
+  const std::vector<float> wb = wide_b(rng);
+  std::vector<Shape3> more(std::begin(kTinyShapes), std::end(kTinyShapes));
+  for (const WideShape& s : kWideShapes) more.push_back({s.m, s.k, kWideN});
+  for (const Shape3& s : more) {
+    Tensor a = random2d(s.m, s.k, rng);
+    for (const bool tb : {false, true}) {
+      const size_t ldb = s.n == kWideN ? (tb ? kWideLdbT : kWideLdbN)
+                                       : (tb ? s.k : s.n);
+      for (const std::string& name : kernels::backend_names()) {
+        const kernels::KernelBackend* be = kernels::find_backend(name);
+        set_parallel_threads(1);
+        const auto ref =
+            run_gemm_ldb(be, a, wb.data(), ldb, tb, s.m, s.k, s.n);
+        for (const int threads : {2, 4}) {
+          set_parallel_threads(threads);
+          const auto got =
+              run_gemm_ldb(be, a, wb.data(), ldb, tb, s.m, s.k, s.n);
+          EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                ref.size() * sizeof(float)),
+                    0)
+              << name << " not bit-identical at " << threads
+              << " threads: m=" << s.m << " k=" << s.k << " n=" << s.n
+              << " tb=" << tb;
+        }
       }
       set_parallel_threads(0);
     }
